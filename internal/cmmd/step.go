@@ -349,6 +349,8 @@ func (ep *Endpoint) StepSendBlock(ss *SendStep, dst, tag int, vec *memsim.FVec, 
 type ReduceStep struct {
 	phase  uint8
 	seq    int64
+	val    float64
+	idx    int64
 	parent int
 	root   int
 	nch    int
@@ -359,8 +361,6 @@ type ReduceStep struct {
 
 // StepReduce is Comm.Reduce for step processors. The contributed (val, idx)
 // are latched on the first call; the result is valid only when done.
-// Incompatible with the hardware-combining ablation (the runner gates the
-// combination off).
 func (c *Comm) StepReduce(rs *ReduceStep, root int, val float64, idx int64, op ReduceOp) (float64, int64, bool) {
 	ep := c.ep
 	p := ep.P
@@ -370,8 +370,11 @@ func (c *Comm) StepReduce(rs *ReduceStep, root int, val float64, idx int64, op R
 			if !p.StepInteract() {
 				return 0, 0, false
 			}
-			if c.HW != nil {
-				panic("cmmd: step reductions are incompatible with hardware combining")
+			if c.HW != nil { // hardware combining; see Reduce
+				p.ChargeStall(stats.NetAccess, ep.Cfg.NIWriteTagDest+ep.Cfg.NISendCycles)
+				rs.val, rs.idx = val, idx
+				rs.phase = 4
+				continue
 			}
 			p.ChargeStall(stats.LibComp, ep.Cfg.CollectiveEntry)
 			rs.seq = c.redSeq
@@ -419,6 +422,16 @@ func (c *Comm) StepReduce(rs *ReduceStep, root int, val float64, idx int64, op R
 				return 0, 0, false
 			}
 			*rs = ReduceStep{}
+			return 0, 0, true
+		case 4:
+			v, i, done := c.HW.StepWait(p, stats.LibComp, uint8(op), rs.val, rs.idx)
+			if !done {
+				return 0, 0, false
+			}
+			*rs = ReduceStep{}
+			if ep.Self == root {
+				return v, i, true
+			}
 			return 0, 0, true
 		}
 	}
@@ -493,8 +506,8 @@ func (c *Comm) stepBcastPair(bs *BcastStep, root int, val float64, idx int64, da
 				p.ChargeStall(stats.LibComp, ep.Cfg.CMMDCallCycles)
 			}
 			bs.pkt = ni.Packet{Dst: c.actual(bs.children[bs.ci], bs.root),
-				Tag:  c.hDown,
-				Args: [4]uint64{uint64(bs.seq), math.Float64bits(bs.val), uint64(bs.idx)},
+				Tag:       c.hDown,
+				Args:      [4]uint64{uint64(bs.seq), math.Float64bits(bs.val), uint64(bs.idx)},
 				DataBytes: bs.db}
 			bs.phase = 3
 		case 3:

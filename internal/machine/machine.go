@@ -112,14 +112,11 @@ type StepProgramMP func(n *MPNode) func(*sim.Proc) sim.StepStatus
 // run in step (continuation) form: no goroutine, no gate channel — the
 // engine calls each node's step function directly, and the step returns
 // sim.StepYield where the coroutine form would suspend. Incompatible with
-// fault injection (the reliable transport blocks inside the AM layer) and
-// with hardware combining (Combiner.Wait blocks); the runner gates both.
+// fault injection (the reliable transport blocks inside the AM layer); the
+// runner gates it.
 func NewMPStep(cfg cost.Config, shape cmmd.Shape, program StepProgramMP) *MPMachine {
 	if cfg.Faults != nil {
 		panic("machine: step processors are incompatible with fault injection")
-	}
-	if cfg.HWCombining {
-		panic("machine: step processors are incompatible with hardware combining")
 	}
 	return buildMP(cfg, shape, nil, program)
 }
@@ -270,16 +267,10 @@ type SMMachine struct {
 type StepProgramSM func(n *SMNode) func(*sim.Proc) sim.StepStatus
 
 // NewSMStep builds a shared-memory machine whose application processors
-// run in step form; see NewMPStep. Incompatible with control-message fault
-// injection and hardware combining (the runner gates both; the checker and
-// watchdog remain available).
+// run in step form; see NewMPStep. Every robustness layer (invariant
+// checker, control-message faults, watchdog) and the hardware combiner run
+// on step processors.
 func NewSMStep(cfg cost.Config, policy parmacs.Policy, program StepProgramSM) *SMMachine {
-	if cfg.SMFaults != nil {
-		panic("machine: step processors are incompatible with control-fault injection")
-	}
-	if cfg.HWCombining {
-		panic("machine: step processors are incompatible with hardware combining")
-	}
 	return buildSM(cfg, policy, nil, program)
 }
 

@@ -175,8 +175,7 @@ type RedStep struct {
 
 // StepReduce is Reduce for step processors. The contributed (val, idx) are
 // latched on the first call; re-invocations may pass anything. The result
-// is valid only when done. Incompatible with the hardware-combining
-// ablation (the runner gates the combination off).
+// is valid only when done.
 func (r *Reduction) StepReduce(rs *RedStep, m *memsim.Mem, val float64, idx int64, op Op, cats Cats) (float64, int64, bool) {
 	p := m.P
 	me := p.ID
@@ -186,10 +185,13 @@ func (r *Reduction) StepReduce(rs *RedStep, m *memsim.Mem, val float64, idx int6
 			if !op.valid() {
 				p.Fail(fmt.Errorf("%w: op %d at node %d", ErrUnknownOp, int(op), p.ID))
 			}
-			if r.rt.Comb != nil {
-				panic("parmacs: step reductions are incompatible with hardware combining")
-			}
 			p.PushModeFull(cats.Comp, cats.Miss, stats.CntPrivateMisses, cats.Miss, cats.Miss)
+			if r.rt.Comb != nil { // hardware combining; see Reduce
+				rs.val, rs.idx = val, idx
+				p.Compute(reduceOpCycles)
+				rs.phase = 7
+				continue
+			}
 			r.round[me]++
 			rs.round = r.round[me]
 			rs.val, rs.idx = val, idx
@@ -249,6 +251,17 @@ func (r *Reduction) StepReduce(rs *RedStep, m *memsim.Mem, val float64, idx int6
 			}
 			p.PopMode()
 			*rs = RedStep{}
+			return 0, 0, true
+		case 7:
+			v, i, done := r.rt.Comb.StepWait(p, cats.Wait, uint8(op), rs.val, rs.idx)
+			if !done {
+				return 0, 0, false
+			}
+			p.PopMode()
+			*rs = RedStep{}
+			if me == 0 {
+				return v, i, true
+			}
 			return 0, 0, true
 		}
 	}

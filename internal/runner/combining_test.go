@@ -14,15 +14,20 @@ import (
 // software tree ascent charges on the message-passing machine), stay
 // fingerprint-identical across worker counts, and replay-verify from a
 // checkpoint (the spec knob and the combiner's state must both survive the
-// snapshot round-trip).
+// snapshot round-trip). Both runs of each spec are pinned to golden
+// fingerprints; the Gauss-SM ones were recorded from its coroutine form.
 func TestHWCombiningAblation(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		spec Spec
-		cat  stats.Category
+		name     string
+		spec     Spec
+		cat      stats.Category
+		software uint64
+		hw       uint64
 	}{
-		{"gauss-sm", Spec{App: "gauss", Machine: "sm", Procs: 8, Size: 64}, stats.ReductionWait},
-		{"gauss-mp", Spec{App: "gauss", Machine: "mp", Procs: 8, Size: 64}, stats.LibComp},
+		{"gauss-sm", Spec{App: "gauss", Machine: "sm", Procs: 8, Size: 64}, stats.ReductionWait,
+			0x9c31f8df5c33e2f5, 0x965b23932aaadd42},
+		{"gauss-mp", Spec{App: "gauss", Machine: "mp", Procs: 8, Size: 64}, stats.LibComp,
+			0x73bba6a130be361c, 0x939dc8858b3584af},
 	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
@@ -51,6 +56,10 @@ func TestHWCombiningAblation(t *testing.T) {
 			}
 			if hw.Fingerprint == base.Fingerprint {
 				t.Errorf("hw and software runs share fingerprint %#x — the ablation changed nothing", hw.Fingerprint)
+			}
+			if base.Fingerprint != tc.software || hw.Fingerprint != tc.hw {
+				t.Errorf("fingerprints software %#x hw %#x, want %#x %#x",
+					base.Fingerprint, hw.Fingerprint, tc.software, tc.hw)
 			}
 
 			// Determinism: the combiner's host-side locking must not leak

@@ -68,12 +68,13 @@ type Spec struct {
 	// (the cross-form equality tests pin it), so checkpoints written by one
 	// form resume under the other; part of Spec because only some apps have
 	// step implementations and Validate must reject the rest up front.
+	// Gauss-SM exists only in step form, so the flag is a no-op there.
 	StepProcs bool `json:"step_procs,omitempty"`
 }
 
 // StepUnsupportedError reports a spec requesting step processors for a
 // configuration without a step implementation (an app that only exists in
-// coroutine form, or a robustness layer that must suspend mid-call).
+// coroutine form, or the reliable transport, which suspends mid-call).
 type StepUnsupportedError struct {
 	App     string
 	Machine string
@@ -120,8 +121,8 @@ func (s *Spec) Validate() error {
 		return fmt.Errorf("runner: coherence robustness controls require machine sm")
 	}
 	if s.StepProcs {
-		switch s.App {
-		case "em3d", "lcp":
+		switch {
+		case s.App == "em3d", s.App == "lcp", s.App == "gauss" && s.Machine == "sm":
 		default:
 			return &StepUnsupportedError{App: s.App, Machine: s.Machine,
 				Reason: "app has no step implementation"}
@@ -129,14 +130,6 @@ func (s *Spec) Validate() error {
 		if s.Faults != nil {
 			return &StepUnsupportedError{App: s.App, Machine: s.Machine,
 				Reason: "reliable transport suspends inside library calls"}
-		}
-		if s.SMFaults != nil {
-			return &StepUnsupportedError{App: s.App, Machine: s.Machine,
-				Reason: "control-fault injection is untested under step dispatch"}
-		}
-		if s.HWCombining {
-			return &StepUnsupportedError{App: s.App, Machine: s.Machine,
-				Reason: "the hardware combiner suspends its depositors"}
 		}
 	}
 	return nil
@@ -495,7 +488,7 @@ func runApp(spec *Spec, cfg cost.Config) (*machine.Result, string) {
 		if spec.Machine == "mp" {
 			out = gauss.RunMP(cfg, shape, par)
 		} else {
-			out = gauss.RunSM(cfg, par)
+			out = gauss.RunSM(cfg, par) // step form only; StepProcs is a no-op
 		}
 		return out.Res, fmt.Sprintf("maxErr=%.3g", out.MaxErr)
 	case "em3d":

@@ -8,11 +8,13 @@ import (
 
 	"repro/internal/cost"
 	"repro/internal/snapshot"
+	"repro/internal/stats"
 )
 
-// stepPairs are the app/machine pairs with step (continuation) ports. Sizes
-// are kept small: the matrix below multiplies them by three processor
-// counts and two worker counts, under the race detector.
+// stepPairs are the app/machine pairs with both a step (continuation) and a
+// coroutine form. Sizes are kept small: the matrix below multiplies them by
+// three processor counts and two worker counts, under the race detector.
+// Gauss-SM is step-only; gauss_golden_test.go pins it instead.
 var stepPairs = []struct {
 	Name string
 	Spec Spec
@@ -21,6 +23,17 @@ var stepPairs = []struct {
 	{"em3d-sm", Spec{App: "em3d", Machine: "sm", Size: 8, Iters: 2}},
 	{"lcp-mp", Spec{App: "lcp", Machine: "mp", Size: 1024, Iters: 3}},
 	{"lcp-sm", Spec{App: "lcp", Machine: "sm", Size: 1024, Iters: 3}},
+
+	// Robustness layers on step processors: the hardware combiner on both
+	// machines, and coherence control faults with the checker armed.
+	{"em3d-mp-hw", Spec{App: "em3d", Machine: "mp", Size: 8, Iters: 2, HWCombining: true}},
+	{"em3d-sm-hw", Spec{App: "em3d", Machine: "sm", Size: 8, Iters: 2, HWCombining: true}},
+	{"lcp-mp-hw", Spec{App: "lcp", Machine: "mp", Size: 1024, Iters: 3, HWCombining: true}},
+	{"lcp-sm-hw", Spec{App: "lcp", Machine: "sm", Size: 1024, Iters: 3, HWCombining: true}},
+	{"em3d-sm-faults", Spec{App: "em3d", Machine: "sm", Size: 8, Iters: 2, SMCheck: true,
+		SMFaults: &cost.SMFaultsConfig{Seed: 7, NACKRate: 0.02, ReorderRate: 0.02}}},
+	{"lcp-sm-faults", Spec{App: "lcp", Machine: "sm", Size: 1024, Iters: 3, SMCheck: true,
+		SMFaults: &cost.SMFaultsConfig{Seed: 7, NACKRate: 0.02, ReorderRate: 0.02}}},
 }
 
 // TestStepFormEquivalence pins the cross-form determinism contract: for
@@ -65,6 +78,9 @@ func TestStepFormEquivalence(t *testing.T) {
 					}
 					if st.Res.Elapsed != co.Res.Elapsed {
 						t.Errorf("elapsed: step %d, coroutine %d", st.Res.Elapsed, co.Res.Elapsed)
+					}
+					if spec.SMFaults != nil && st.Res.Summary.CountsAll(stats.CntNACKs) == 0 {
+						t.Errorf("no NACKs recorded: the control faults never fired")
 					}
 				})
 			}
@@ -147,7 +163,10 @@ func TestStepCrossFormResume(t *testing.T) {
 }
 
 // TestValidateStepUnsupported pins the typed rejection of step requests for
-// configurations without a step implementation.
+// configurations without a step implementation: apps still in coroutine
+// form and the reliable transport. Gauss-SM is step-only, so the request is
+// accepted there as a no-op; coherence faults and the hardware combiner run
+// on step processors.
 func TestValidateStepUnsupported(t *testing.T) {
 	cases := []struct {
 		name string
@@ -156,15 +175,18 @@ func TestValidateStepUnsupported(t *testing.T) {
 	}{
 		{"em3d-mp", Spec{App: "em3d", Machine: "mp", Procs: 4, StepProcs: true}, true},
 		{"lcp-sm", Spec{App: "lcp", Machine: "sm", Procs: 4, StepProcs: true}, true},
-		{"gauss", Spec{App: "gauss", Machine: "mp", Procs: 4, StepProcs: true}, false},
+		{"gauss-sm", Spec{App: "gauss", Machine: "sm", Procs: 4, StepProcs: true}, true},
+		{"gauss-mp", Spec{App: "gauss", Machine: "mp", Procs: 4, StepProcs: true}, false},
 		{"mse", Spec{App: "mse", Machine: "sm", Procs: 4, StepProcs: true}, false},
 		{"alcp", Spec{App: "alcp", Machine: "mp", Procs: 4, StepProcs: true}, false},
 		{"em3d-faults", Spec{App: "em3d", Machine: "mp", Procs: 4, StepProcs: true,
 			Faults: &cost.FaultsConfig{Seed: 1}}, false},
 		{"lcp-smfaults", Spec{App: "lcp", Machine: "sm", Procs: 4, StepProcs: true,
-			SMFaults: &cost.SMFaultsConfig{Seed: 1}}, false},
+			SMFaults: &cost.SMFaultsConfig{Seed: 1}}, true},
 		{"em3d-hwcomb", Spec{App: "em3d", Machine: "sm", Procs: 4, StepProcs: true,
-			HWCombining: true}, false},
+			HWCombining: true}, true},
+		{"lcp-mp-hwcomb", Spec{App: "lcp", Machine: "mp", Procs: 4, StepProcs: true,
+			HWCombining: true}, true},
 	}
 	for _, tc := range cases {
 		err := tc.spec.Validate()

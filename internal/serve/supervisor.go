@@ -67,13 +67,16 @@ func (s *Server) worker() {
 // process drives one claimed job to its next durable state.
 func (s *Server) process(j *job) {
 	if res, err := s.cache.Get(j.key); res != nil {
+		// Remove the checkpoints before publishing the job as done, so no
+		// observer of a done job finds them. The result is durable in the
+		// cache, so a crash in between recovers through this path.
+		s.cleanCkpts(j)
 		if err := s.q.complete(j, res, true); err != nil {
 			s.unrecorded(j, "cache hit", err)
 			return
 		}
 		s.storageOK()
 		s.logf("j%d %s/%s done (cache hit, fp %#x)", j.id, j.spec.App, j.spec.Machine, res.Fingerprint)
-		s.cleanCkpts(j)
 		return
 	} else if err != nil {
 		s.logf("j%d: %v (recomputing)", j.id, err)
@@ -138,6 +141,7 @@ func (s *Server) process(j *job) {
 			s.unrecorded(j, "store result", err)
 			return
 		}
+		s.cleanCkpts(j) // the result is durable; see the cache-hit path
 		if err := s.q.complete(j, res, false); err != nil {
 			s.unrecorded(j, "completion", err)
 			return
@@ -148,7 +152,6 @@ func (s *Server) process(j *job) {
 			status = "aborted: " + res.Err
 		}
 		s.logf("j%d %s/%s done (%s, %d ms)", j.id, j.spec.App, j.spec.Machine, status, wallMS)
-		s.cleanCkpts(j)
 	}
 }
 

@@ -106,9 +106,35 @@ func (c *Combiner) Epochs() int64 { return c.epoch }
 // result (delivered to every participant — root-only semantics are the
 // caller's to impose). The stall is charged to cat. Every participant of an
 // episode must pass the same op; re-entering before the episode completes
-// panics, as does calling from a step processor (Wait blocks).
+// panics, as does calling from a step processor (use StepWait).
 func (c *Combiner) Wait(p *Proc, cat stats.Category, op uint8, val float64, idx int64) (float64, int64) {
 	p.Interact()
+	c.arrive(p, op, val, idx)
+	a, b := p.BlockVals(cat, "combine")
+	return math.Float64frombits(uint64(a)), b
+}
+
+// StepWait is Wait for step processors: it returns done=false after
+// depositing the contribution and blocking (the step must return
+// StepYield), and the combined result with done=true on the reentry that
+// consumes the release wake. The arrival bookkeeping is identical to
+// Wait's, so the two forms release at the same time with the same fold.
+func (c *Combiner) StepWait(p *Proc, cat stats.Category, op uint8, val float64, idx int64) (float64, int64, bool) {
+	if p.WakePending() {
+		a, b := p.WakePayloadVals()
+		return math.Float64frombits(uint64(a)), b, true
+	}
+	if !p.StepInteract() {
+		return 0, 0, false
+	}
+	c.arrive(p, op, val, idx)
+	p.StepBlock(cat, "combine")
+	return 0, 0, false
+}
+
+// arrive records p's deposit under mu and stages the release when p is the
+// episode's last participant.
+func (c *Combiner) arrive(p *Proc, op uint8, val float64, idx int64) {
 	c.mu.Lock()
 	for _, a := range c.arrived {
 		if a.p == p {
@@ -131,8 +157,6 @@ func (c *Combiner) Wait(p *Proc, cat stats.Category, op uint8, val float64, idx 
 		c.stageRelease()
 	}
 	c.mu.Unlock()
-	a, b := p.BlockVals(cat, "combine")
-	return math.Float64frombits(uint64(a)), b
 }
 
 // stageRelease, called with mu held by the episode's last arrival, sorts

@@ -120,3 +120,69 @@ func TestCombinerOpMismatchPanics(t *testing.T) {
 		t.Errorf("panic message %q should name both operators", msg)
 	}
 }
+
+// TestCombinerStepWaitMatchesWait mixes the two processor forms in one
+// combining tree: odd-ID processors deposit with StepWait from a step
+// continuation, even-ID ones with Wait from a coroutine. Every episode must
+// still fold in processor-ID order and release everyone at the same cycle
+// as an all-coroutine run (last arrival + latency), serial and pooled.
+func TestCombinerStepWaitMatchesWait(t *testing.T) {
+	const n, latency, episodes = 4, 150, 3
+	for _, workers := range []int{1, 4} {
+		e := NewEngine(100)
+		e.Workers = workers
+		comb := NewCombiner(e, n, latency, concatCombine)
+		clocks := make([]Time, n)
+		var bad atomic.Int64
+		check := func(v float64, idx int64) {
+			if v != 1234 || idx != 1234 {
+				bad.Store(int64(v))
+			}
+		}
+		for i := 0; i < n; i++ {
+			i := i
+			if i%2 == 0 {
+				e.AddProc(func(p *Proc) {
+					for ep := 0; ep < episodes; ep++ {
+						p.Compute(int64(10 * (n - i)))
+						check(comb.Wait(p, stats.BarrierWait, 0, float64(i+1), int64(i+1)))
+					}
+					clocks[i] = p.Clock()
+				})
+				continue
+			}
+			ep, waiting := 0, false
+			e.AddStepProc(func(p *Proc) StepStatus {
+				for ep < episodes {
+					if !waiting {
+						p.Compute(int64(10 * (n - i)))
+						waiting = true
+					}
+					v, idx, done := comb.StepWait(p, stats.BarrierWait, 0, float64(i+1), int64(i+1))
+					if !done {
+						return StepYield
+					}
+					check(v, idx)
+					ep, waiting = ep+1, false
+				}
+				clocks[i] = p.Clock()
+				return StepDone
+			})
+		}
+		if err := e.Run(); err != nil {
+			t.Fatalf("workers=%d run: %v", workers, err)
+		}
+		if b := bad.Load(); b != 0 {
+			t.Errorf("workers=%d: fold produced %d, want 1234 (processor-ID order)", workers, b)
+		}
+		if got := comb.Epochs(); got != episodes {
+			t.Errorf("workers=%d: epochs %d, want %d", workers, got, episodes)
+		}
+		want := Time(episodes * (40 + latency))
+		for i, c := range clocks {
+			if c != want {
+				t.Errorf("workers=%d: proc %d finished at %d, want %d", workers, i, c, want)
+			}
+		}
+	}
+}
