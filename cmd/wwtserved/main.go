@@ -46,7 +46,7 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:8723", "listen address")
 	dir := flag.String("dir", "wwtserved-data", "data directory (WAL, result cache, checkpoints)")
 	jobs := flag.Int("jobs", runtime.NumCPU(), "worker pool size (concurrent runs)")
-	runWorkers := flag.Int("run-workers", 1, "engine workers inside each run (0 = GOMAXPROCS)")
+	runWorkers := flag.Int("run-workers", 1, "engine workers inside each run (0 or 1 = serial)")
 	maxQueue := flag.Int("max-queue", 4096, "admission bound on pending+running jobs (excess batches get 429)")
 	retries := flag.Int("retries", 3, "bounded retries for host-level job failures")
 	maxPreempts := flag.Int("max-preempts", 8, "deadline preemptions per job before terminal failure")

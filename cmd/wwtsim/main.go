@@ -34,7 +34,7 @@
 // (simulated livelock).
 //
 // -workers N bounds how many simulated processors execute concurrently on
-// host cores within each quantum (0 = all cores, 1 = serial). It is a pure
+// host cores within each quantum (0 or 1 = serial). It is a pure
 // host-throughput knob: the conservative-window engine stages and merges
 // cross-processor events deterministically, so every -workers value prints
 // the identical stats fingerprint.
@@ -88,9 +88,8 @@ func main() {
 	ckDir := flag.String("checkpoint-dir", ".", "directory for checkpoint files")
 	resume := flag.String("resume", "", "resume (replay + verify) from a snapshot file")
 	runUntil := flag.Int64("run-until", 0, "stop cleanly at the first quantum boundary at or after this cycle (0 = off)")
-	workers := flag.Int("workers", 0, "host worker pool for the processor phase (0 = GOMAXPROCS, 1 = serial); fingerprint-neutral")
+	workers := flag.Int("workers", 0, "host worker pool for the processor phase (0 or 1 = serial); fingerprint-neutral")
 	hwCombining := flag.Bool("hw-combining", false, "ablation: in-network hardware combining tree for reductions")
-	step := flag.Bool("step", false, "run the step (continuation) form of the application; fingerprint-identical to the coroutine form")
 	flag.Parse()
 
 	for _, r := range []struct {
@@ -127,27 +126,16 @@ func main() {
 			fatal("-resume: %v", err)
 		}
 		spec = *sp
-		// An explicit -step / -step=false overrides the snapshot's processor
-		// form: checkpoints are form-portable, so resuming a coroutine run in
-		// step form (or vice versa) is supported and fingerprint-identical.
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "step" {
-				spec.StepProcs = *step
-			}
-		})
-		if err := spec.Validate(); err != nil {
-			fatal("-resume: %v", err)
-		}
 		opts.Resume = snap
-		fmt.Printf("resuming %s on %s from %s (checkpoint cycle %d, step=%v)\n",
-			spec.App, spec.Machine, *resume, snap.Cycle, spec.StepProcs)
+		fmt.Printf("resuming %s on %s from %s (checkpoint cycle %d)\n",
+			spec.App, spec.Machine, *resume, snap.Cycle)
 	} else {
 		spec = runner.Spec{
 			App: *app, Machine: *mach, Procs: *procs,
 			CacheBytes: *cache, Shape: *shapeStr, Policy: *policy,
 			Size: *size, Iters: *iters,
 			SMCheck: *smCheck, SMWatchdog: *watchdog,
-			HWCombining: *hwCombining, StepProcs: *step,
+			HWCombining: *hwCombining,
 		}
 		if *faultsOn || *dropRate > 0 || *dupRate > 0 || *corruptRate > 0 || *jitter > 0 {
 			if *mach != "mp" {

@@ -120,12 +120,11 @@ func main() {
 	size := flag.Int("size", 0, "problem size override (app-specific)")
 	iters := flag.Int("iters", 0, "iteration override")
 	hwCombining := flag.Bool("hw-combining", false, "ablation: in-network hardware combining tree for reductions (flag-built runs)")
-	step := flag.Bool("step", false, "run every spec in its step (continuation) form; matrix specs may also set \"step_procs\" per run")
 	dropRates := flag.String("droprates", "", "comma-separated network drop rates (mp machines)")
 	nackRates := flag.String("nackrates", "", "comma-separated directory NACK rates (sm machines)")
 	seeds := flag.String("seeds", "1", "comma-separated fault seeds (fault-injected runs only)")
 	jobs := flag.Int("jobs", 0, "concurrent runs (0 = all host cores)")
-	workers := flag.Int("workers", 1, "engine worker pool inside each run (0 = GOMAXPROCS)")
+	workers := flag.Int("workers", 1, "engine worker pool inside each run (0 or 1 = serial)")
 	verifyWorkers := flag.Int("verify-workers", 0, "re-run each config with this many engine workers and require identical fingerprints")
 	out := flag.String("out", "sweep-results.json", "results file")
 	quiet := flag.Bool("quiet", false, "suppress per-run progress lines")
@@ -147,11 +146,6 @@ func main() {
 	}
 	if len(specs) == 0 {
 		fatal("no runs: give -matrix or -apps/-machines")
-	}
-	if *step {
-		for i := range specs {
-			specs[i].StepProcs = true
-		}
 	}
 	for i := range specs {
 		if err := specs[i].Validate(); err != nil {

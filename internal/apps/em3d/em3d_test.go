@@ -6,7 +6,9 @@ import (
 
 	"repro/internal/cmmd"
 	"repro/internal/cost"
+	"repro/internal/machine"
 	"repro/internal/parmacs"
+	"repro/internal/snapshot"
 	"repro/internal/stats"
 )
 
@@ -155,6 +157,28 @@ func TestEM3DSMFlushVariantCorrectAndFewerInvalidations(t *testing.T) {
 	fc := flush.Res.Summary.Counts(PhaseMain, stats.CntBytesControl)
 	if fc >= bc {
 		t.Errorf("flush variant control bytes %v, want fewer than base %v", fc, bc)
+	}
+}
+
+// TestEM3DSMFlushGolden pins the software-flush variant's fingerprint at
+// the configuration above, serial and at Workers=4. The value was recorded
+// from the coroutine form, before the variant moved to the step form.
+func TestEM3DSMFlushGolden(t *testing.T) {
+	const want = 0x27ae9d625e96270e
+	for _, workers := range []int{1, 4} {
+		cfg := cost.Default(4)
+		cfg.Workers = workers
+		var sm *machine.SMMachine
+		cfg.OnBuild = func(m any) { sm = m.(*machine.SMMachine) }
+		out := RunSMFlush(cfg, parmacs.RoundRobin, smallParams())
+		if out.Res.Err != nil || out.MaxErr > 1e-12 {
+			t.Fatalf("w%d: err %v, maxErr %v", workers, out.Res.Err, out.MaxErr)
+		}
+		var enc snapshot.Enc
+		sm.EncodeStats(&enc)
+		if got := snapshot.Hash(enc.Bytes()); got != want {
+			t.Errorf("w%d: fingerprint %#x, want %#x", workers, got, want)
+		}
 	}
 }
 

@@ -9,10 +9,39 @@ import (
 	"repro/internal/snapshot"
 )
 
-// RunSMStep runs EM3D-SM in step (continuation) form: RunSM rewritten as an
-// explicit state machine, fingerprint-identical to the coroutine form. The
-// software-flush variant stays coroutine-only.
-func RunSMStep(cfg cost.Config, policy parmacs.Policy, par Params) *Output {
+// smShared is the shared-memory problem state established by node 0.
+type smShared struct {
+	eVal, hVal []memsim.FVec // per-owner value vectors ("value fields in a separate vector")
+	eIdx, hIdx []memsim.IVec // per-owner in-edge source slots (owner-major)
+	eW, hW     []memsim.FVec // per-owner in-edge weights
+	eCnt, hCnt []memsim.IVec // per-owner in-degree fill counters
+	locks      []*parmacs.Lock
+}
+
+// RunSM runs EM3D-SM: no ghost nodes — caching supplies the temporal
+// locality, with the invalidation protocol's four-message producer-consumer
+// cost. policy selects gmalloc placement (RoundRobin reproduces Table 14;
+// Local reproduces the Table 17 ablation). Pass a Config with a 1 MB cache
+// for the Table 16 ablation.
+//
+// Each node runs as an engine-dispatched state machine (step form): node 0
+// establishes the shared structures, every node registers its out-edges at
+// their sinks under the sinks' locks, then the main loop alternates E and H
+// half-steps separated by barriers.
+func RunSM(cfg cost.Config, policy parmacs.Policy, par Params) *Output {
+	return runSM(cfg, policy, par, false)
+}
+
+// RunSMFlush runs the §5.3.4 software-flush variant the paper proposes:
+// after consuming a remote value, the consumer flushes its cached copy,
+// turning the producer's next two-message invalidation round into a silent
+// single-message replacement. (The paper notes the benefit shrinks as the
+// data set outgrows the cache, since lines are often evicted anyway.)
+func RunSMFlush(cfg cost.Config, policy parmacs.Policy, par Params) *Output {
+	return runSM(cfg, policy, par, true)
+}
+
+func runSM(cfg cost.Config, policy parmacs.Policy, par Params, flush bool) *Output {
 	out := &Output{}
 	g := genGraph(par, cfg.Procs)
 	procs := cfg.Procs
@@ -23,6 +52,9 @@ func RunSMStep(cfg cost.Config, policy parmacs.Policy, par Params) *Output {
 
 	out.Res = machine.NewSMStep(cfg, policy, func(nd *machine.SMNode) func(*sim.Proc) sim.StepStatus {
 		s := newSMStep(nd, g, par, procs, out, &sh)
+		if flush {
+			s.flushed = make(map[uint64]struct{})
+		}
 		return s.step
 	}).Run()
 
@@ -62,6 +94,10 @@ type smStep struct {
 	rf regFrame
 	lf parmacs.LockStep
 	hf halfFrame
+
+	// flushed is non-nil only in the software-flush variant, where it
+	// deduplicates the blocks one half-step has flushed so far.
+	flushed map[uint64]struct{}
 }
 
 // newSMStep does the host-side setup. Node 0 also establishes the shared
@@ -108,9 +144,9 @@ func (s *smStep) step(p *sim.Proc) sim.StepStatus {
 			if !nd.RT.StepBarrier(p) {
 				return sim.StepYield
 			}
-			// Registered here — the same simulated point as the coroutine
-			// form — so snapshots taken before this quantum encode the same
-			// (shorter) state list in both forms.
+			// Registered only once the shared vectors exist: snapshots taken
+			// before this quantum encode the shorter state list, as
+			// checkpoints written by the retired coroutine body do.
 			nd.OnState(func(enc *snapshot.Enc) {
 				enc.F64s(sh.eVal[me].V)
 				enc.F64s(sh.hVal[me].V)
@@ -186,9 +222,12 @@ type regFrame struct {
 	slot int64
 }
 
-// stepRegister mirrors RunSM's register loops: for each sink (me, then the
-// ring neighbors) and each kind, claim a slot under the sink's lock and
-// write the packed source pointer and weight with remote writes.
+// stepRegister registers my out-edges at their sinks: for each sink (me,
+// then the ring neighbors) and each kind, claim a slot under the sink's
+// lock and write the packed source pointer and weight with remote writes
+// (paper: "remote data accesses require locks and remote writes because
+// each processor updates incoming edge counts and pointers for remote
+// sinks").
 func (s *smStep) stepRegister() bool {
 	np, deg := s.par.NodesPer, s.par.Degree
 	m, sh := s.m, s.sh
@@ -274,7 +313,11 @@ func (s *smStep) stepRegister() bool {
 	}
 }
 
-// stepSMHalf mirrors smHalf (without the software-flush variant).
+// stepSMHalf updates this processor's dst nodes from the shared source
+// value vectors. Local sources usually hit; remote sources take the
+// protocol's invalidate-request-response round trips every iteration. Each
+// index word packs (ownerProc<<32 | srcIdx), the simulated analogue of a
+// pointer into the owner's value vector, as registration wrote it.
 func (s *smStep) stepSMHalf(idx *memsim.IVec, w *memsim.FVec, srcVals []memsim.FVec, dst *memsim.FVec) bool {
 	np, deg := s.par.NodesPer, s.par.Degree
 	m := s.m
@@ -283,8 +326,14 @@ func (s *smStep) stepSMHalf(idx *memsim.IVec, w *memsim.FVec, srcVals []memsim.F
 		switch hf.sub {
 		case 0:
 			if hf.i >= np {
-				*hf = halfFrame{}
-				return true
+				if s.flushed == nil {
+					*hf = halfFrame{}
+					return true
+				}
+				clear(s.flushed)
+				hf.k = 0
+				hf.sub = 4
+				continue
 			}
 			if !idx.StepReadRange(m, hf.i*deg, (hf.i+1)*deg) {
 				return false
@@ -318,6 +367,30 @@ func (s *smStep) stepSMHalf(idx *memsim.IVec, w *memsim.FVec, srcVals []memsim.F
 			s.nd.Compute(int64(deg)*cMac + cNode)
 			hf.i++
 			hf.sub = 0
+		case 4:
+			// Software flush (paper §5.3.4): after the half-step, drop every
+			// remote block we consumed, so the producers' rewrites find no
+			// copies to invalidate (a silent replacement instead of a
+			// two-message invalidation round). Deduplicate per block —
+			// values are reused within the half-step. hf.k walks the slots.
+			for ; hf.k < np*deg; hf.k++ {
+				packed := idx.V[hf.k]
+				owner := int(packed >> 32)
+				if owner == s.nd.ID {
+					continue
+				}
+				addr := srcVals[owner].Addr(int(packed & 0xFFFFFFFF))
+				block := addr >> 5
+				if _, ok := s.flushed[block]; ok {
+					continue
+				}
+				if !m.StepFlushBlock(addr) {
+					return false
+				}
+				s.flushed[block] = struct{}{}
+			}
+			*hf = halfFrame{}
+			return true
 		}
 	}
 }

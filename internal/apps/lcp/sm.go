@@ -10,26 +10,11 @@ import (
 	"repro/internal/snapshot"
 )
 
-// RunSM runs the synchronous shared-memory variant (LCP-SM): a single
-// global solution vector in shared memory; each step every processor
-// refreshes a private local copy from the global vector, sweeps against it,
-// and publishes its portion back, with a reduction testing convergence —
-// exactly the structure the paper describes ("processors compute their
-// portion of the new solution vector into a local buffer. To update, they
-// copy values from the local buffer into the global vector").
-func RunSM(cfg cost.Config, par Params) *Output {
-	return runSM(cfg, par, false)
-}
-
 // RunASM runs the asynchronous variant (ALCP-SM): new values are written
 // directly into the global solution vector as they are computed, so other
 // processors see them as soon as the coherence protocol delivers them;
 // processors synchronize only every Sweeps sweeps for the convergence test.
 func RunASM(cfg cost.Config, par Params) *Output {
-	return runSM(cfg, par, true)
-}
-
-func runSM(cfg cost.Config, par Params, async bool) *Output {
 	out := &Output{}
 	pr := genProblem(par)
 	procs := cfg.Procs
@@ -58,10 +43,13 @@ func runSM(cfg cost.Config, par Params, async bool) *Output {
 		}
 		nd.Barrier()
 
-		// Private matrix rows and workspaces.
+		// Private matrix rows and workspaces. zloc is never used here: it is
+		// the synchronous variant's local copy, kept so ALCP-SM's private
+		// address layout and snapshot state match that variant's (and every
+		// checkpoint and fingerprint recorded with it).
 		mvals := nd.AllocF(rpp * par.NNZ)
 		mcols := nd.AllocI(rpp * par.NNZ)
-		zloc := nd.AllocF(par.N) // local copy (synchronous variant)
+		zloc := nd.AllocF(par.N)
 		zprev := nd.AllocF(rpp)
 		nd.OnState(func(enc *snapshot.Enc) {
 			if me == 0 { // shared vectors, encoded once
@@ -93,80 +81,35 @@ func runSM(cfg cost.Config, par Params, async bool) *Output {
 			}
 			zprev.WriteRange(m, 0, rpp)
 
-			if async {
-				// Sweep directly against the global vector: every remote
-				// reference is a real shared access, invalidated afresh by
-				// each producer — the producer-consumer pattern the
-				// invalidation protocol handles so poorly.
-				for sweep := 0; sweep < par.Sweeps; sweep++ {
-					for r := 0; r < rpp; r++ {
-						gi := lo + r
-						mvals.ReadRange(m, r*par.NNZ, (r+1)*par.NNZ)
-						mcols.ReadRange(m, r*par.NNZ, (r+1)*par.NNZ)
-						// Values from other processors arrive with cache
-						// staleness: each read sees what the cache holds,
-						// refreshed only when an invalidation forced a miss.
-						zi := stale.Get(m, gi)
-						acc := pr.q[gi] + pr.diag[gi]*zi
-						for k, c := range pr.cols[gi] {
-							acc += pr.vals[gi][k] * stale.Get(m, int(c))
-						}
-						nz := zi - par.Omega*acc/pr.diag[gi]
-						if nz < 0 {
-							nz = 0
-						}
-						stale.Set(m, gi, nz)
-						nd.Compute(cRow + int64(par.NNZ)*cElem)
-					}
-				}
-			} else {
-				// Sweep against "a local copy of the solution vector": own
-				// entries live in a private buffer; remote entries are read
-				// from the shared vector on demand. The first sweep's reads
-				// miss (each block once — the owners' publishes invalidated
-				// them at the end of the previous step) and later sweeps hit
-				// the cached snapshot, which is exactly the local-copy
-				// semantics. Demand fetching spreads the misses through the
-				// sweep, so the directory sees little contention.
+			// Sweep directly against the global vector: every remote
+			// reference is a real shared access, invalidated afresh by each
+			// producer — the producer-consumer pattern the invalidation
+			// protocol handles so poorly.
+			for sweep := 0; sweep < par.Sweeps; sweep++ {
 				for r := 0; r < rpp; r++ {
-					zloc.V[lo+r] = zg.V[lo+r]
-				}
-				zloc.WriteRange(m, lo, lo+rpp)
-				for sweep := 0; sweep < par.Sweeps; sweep++ {
-					for r := 0; r < rpp; r++ {
-						gi := lo + r
-						mvals.ReadRange(m, r*par.NNZ, (r+1)*par.NNZ)
-						mcols.ReadRange(m, r*par.NNZ, (r+1)*par.NNZ)
-						zi := zloc.V[gi]
-						acc := pr.q[gi] + pr.diag[gi]*zi
-						for k, c := range pr.cols[gi] {
-							ci := int(c)
-							if ci >= lo && ci < lo+rpp {
-								acc += pr.vals[gi][k] * zloc.V[ci]
-							} else {
-								acc += pr.vals[gi][k] * stale.Get(m, ci)
-							}
-						}
-						nz := zi - par.Omega*acc/pr.diag[gi]
-						if nz < 0 {
-							nz = 0
-						}
-						zloc.V[gi] = nz
-						nd.Compute(cRow + int64(par.NNZ)*cElem)
+					gi := lo + r
+					mvals.ReadRange(m, r*par.NNZ, (r+1)*par.NNZ)
+					mcols.ReadRange(m, r*par.NNZ, (r+1)*par.NNZ)
+					// Values from other processors arrive with cache
+					// staleness: each read sees what the cache holds,
+					// refreshed only when an invalidation forced a miss.
+					zi := stale.Get(m, gi)
+					acc := pr.q[gi] + pr.diag[gi]*zi
+					for k, c := range pr.cols[gi] {
+						acc += pr.vals[gi][k] * stale.Get(m, int(c))
 					}
+					nz := zi - par.Omega*acc/pr.diag[gi]
+					if nz < 0 {
+						nz = 0
+					}
+					stale.Set(m, gi, nz)
+					nd.Compute(cRow + int64(par.NNZ)*cElem)
 				}
-				// Publish: copy the local buffer into the global vector.
-				zloc.ReadRange(m, lo, lo+rpp)
-				for r := 0; r < rpp; r++ {
-					zg.V[lo+r] = zloc.V[lo+r]
-				}
-				zg.WriteRange(m, lo, lo+rpp)
-				nd.Compute(int64(rpp) * 2)
 			}
 			nd.Compute(cStep)
 
 			// Convergence test (paper: synchronize every five iterations in
-			// the asynchronous version — i.e. once per step here too).
+			// the asynchronous version — i.e. once per step).
 			norm := 0.0
 			for r := 0; r < rpp; r++ {
 				norm += math.Abs(zg.V[lo+r] - zprev.V[r])
@@ -184,12 +127,6 @@ func runSM(cfg cost.Config, par Params, async bool) *Output {
 			nd.Barrier()
 			if done.Get(m, 0) != 0 {
 				break
-			}
-			if !async {
-				// The synchronous variant needs all publishes complete
-				// before the next refresh; the convergence barrier above
-				// already provides that ordering.
-				_ = step
 			}
 		}
 		nd.Barrier()

@@ -19,11 +19,17 @@ type lcpSMShared struct {
 	done  memsim.IVec
 }
 
-// RunSMStep runs the synchronous LCP-SM variant in step (continuation)
-// form: runSM's sync path rewritten as an explicit state machine,
-// fingerprint-identical to the coroutine form. The asynchronous variant
-// (ALCP-SM) stays coroutine-only.
-func RunSMStep(cfg cost.Config, par Params) *Output {
+// RunSM runs the synchronous shared-memory variant (LCP-SM): a single
+// global solution vector in shared memory; each step every processor
+// refreshes a private local copy from the global vector, sweeps against it,
+// and publishes its portion back, with a reduction testing convergence —
+// exactly the structure the paper describes ("processors compute their
+// portion of the new solution vector into a local buffer. To update, they
+// copy values from the local buffer into the global vector").
+//
+// Each node runs as an engine-dispatched state machine (step form). The
+// asynchronous variant (RunASM) is written as blocking code.
+func RunSM(cfg cost.Config, par Params) *Output {
 	out := &Output{}
 	pr := genProblem(par)
 	procs := cfg.Procs
@@ -130,7 +136,7 @@ func (s *smStep) step(p *sim.Proc) sim.StepStatus {
 			if !nd.RT.StepBarrier(p) {
 				return sim.StepYield
 			}
-			// Same simulated point as the coroutine form's registration.
+			// ALCP-SM registers the same state list at the same point.
 			nd.OnState(func(enc *snapshot.Enc) {
 				if me == 0 {
 					enc.F64s(sh.zg.V)
@@ -262,10 +268,14 @@ func (s *smStep) step(p *sim.Proc) sim.StepStatus {
 	}
 }
 
-// stepSweeps mirrors the sync sweep loops: own entries come from the
-// private buffer; remote entries are demand-fetched from the shared vector
-// with cache staleness. The buffer mutates exactly once per row, after the
-// row's last access completes.
+// stepSweeps sweeps against "a local copy of the solution vector": own
+// entries come from the private buffer; remote entries are demand-fetched
+// from the shared vector with cache staleness. The first sweep's reads miss
+// (each block once — the owners' publishes invalidated them at the end of
+// the previous step) and later sweeps hit the cached snapshot, which is
+// exactly the local-copy semantics; demand fetching spreads the misses
+// through the sweep, so the directory sees little contention. The buffer
+// mutates exactly once per row, after the row's last access completes.
 func (s *smStep) stepSweeps() bool {
 	m := s.nd.Mem
 	par, lo := s.par, s.lo

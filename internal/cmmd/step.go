@@ -19,8 +19,8 @@ import (
 // with the same arguments when redispatched.
 //
 // The step forms assume the lossless machine (no reliable transport): the
-// runner rejects step_procs under a fault plan, and StepBarrier panics if
-// a transport is attached anyway.
+// runner runs the coroutine app bodies under a fault plan, and StepBarrier
+// panics if a transport is attached anyway.
 
 // PollStep is the resumable state of one poll-until wait: the step twin of
 // AM.PollUntil plus handler dispatch. The frame holds which micro-phase of

@@ -215,17 +215,34 @@ func TestSMFaultsDeterministic(t *testing.T) {
 	}
 }
 
+// runNACKedReads runs two nodes that each read their own vector homed on
+// node 0, on two host workers so the bodies really run concurrently. Node 0
+// allocates both vectors before Create: the address space is not safe for
+// allocation from two processor bodies in the same quantum.
+func runNACKedReads(cfg cost.Config) *machine.Result {
+	cfg.Workers = 2
+	var vs [2]memsim.FVec
+	return machine.RunSM(cfg, parmacs.RoundRobin, func(n *machine.SMNode) {
+		if n.ID == 0 {
+			for i := range vs {
+				vs[i] = n.RT.GMallocFOn(0, 8)
+			}
+			n.RT.Create(n.P)
+		} else {
+			n.RT.WaitCreate(n.P)
+		}
+		vs[n.ID].Get(n.Mem, 0)
+		n.Barrier()
+	})
+}
+
 // TestNACKStarvationAborts: a home that NACKs every request exhausts the
 // requester's retry budget, and the run aborts with the structured
 // starvation report instead of livelocking.
 func TestNACKStarvationAborts(t *testing.T) {
 	cfg := cost.Default(2)
 	smFaultCfg(&cfg, 3, 1.0, 0)
-	res := machine.RunSM(cfg, parmacs.RoundRobin, func(n *machine.SMNode) {
-		v := n.RT.GMallocFOn(0, 8)
-		v.Get(n.Mem, 0)
-		n.Barrier()
-	})
+	res := runNACKedReads(cfg)
 	var starve *faults.RetryStarvationError
 	if !errors.As(res.Err, &starve) {
 		t.Fatalf("err = %v, want RetryStarvationError", res.Err)
@@ -244,11 +261,7 @@ func TestWatchdogReportsStall(t *testing.T) {
 	smFaultCfg(&cfg, 3, 1.0, 0)
 	cfg.SMFaults.RetryBudget = 1 << 20 // never rescued by the budget
 	cfg.SMWatchdog = 20000
-	res := machine.RunSM(cfg, parmacs.RoundRobin, func(n *machine.SMNode) {
-		v := n.RT.GMallocFOn(0, 8)
-		v.Get(n.Mem, 0)
-		n.Barrier()
-	})
+	res := runNACKedReads(cfg)
 	var stall *sim.StallError
 	if !errors.As(res.Err, &stall) {
 		t.Fatalf("err = %v, want StallError", res.Err)

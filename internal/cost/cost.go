@@ -143,7 +143,7 @@ type Config struct {
 
 	// Workers bounds how many target processors the engine may execute
 	// concurrently on host cores within each quantum (sim.Engine.Workers):
-	// 0 uses GOMAXPROCS, 1 forces serial dispatch. A host-side throughput
+	// 0 or 1 dispatches serially. A host-side throughput
 	// knob, never a model parameter — every value produces bit-identical
 	// simulations, which is why it is excluded from JSON run specs and
 	// snapshots (see the serial/parallel determinism tests).

@@ -305,9 +305,11 @@ func (m *Mem) stepRangeWalk(addr uint64, bytes int, write bool) bool {
 	return true
 }
 
-// StepFlushBlock is FlushBlock for step processors. Flushes never block
-// (dirty writebacks travel as staged events), so the only suspension point
-// is the entry Interact.
+// StepFlushBlock removes a block containing addr from the cache (the
+// software flush optimization discussed in the paper's EM3D section).
+// Dirty shared victims write back through the coherence handler. Flushes
+// never block (dirty writebacks travel as staged events), so the only
+// suspension point is the entry Interact.
 func (m *Mem) StepFlushBlock(addr uint64) bool {
 	if !m.P.StepInteract() {
 		return false
@@ -324,22 +326,4 @@ func (m *Mem) StepFlushBlock(addr uint64) bool {
 		m.Shared.Flush(m, line, cat)
 	}
 	return true
-}
-
-// FlushBlock removes a block containing addr from the cache (the software
-// flush optimization discussed in the paper's EM3D section). Dirty shared
-// victims write back through the coherence handler.
-func (m *Mem) FlushBlock(addr uint64) {
-	m.P.Interact()
-	block := m.Cache.BlockOf(addr)
-	st := m.Cache.Lookup(block)
-	if st == Invalid {
-		return
-	}
-	line := Line{Tag: block, State: st}
-	m.Cache.Invalidate(block)
-	if m.Shared != nil && IsShared(addr) {
-		cat, _ := m.P.MissCategory()
-		m.Shared.Flush(m, line, cat)
-	}
 }

@@ -302,7 +302,9 @@ func TestFlushBlockForgetsLine(t *testing.T) {
 		space := NewAddrSpace(1, 32)
 		a := space.AllocPrivate(0, 4096)
 		m.Read(a)
-		m.FlushBlock(a)
+		if !m.StepFlushBlock(a) {
+			t.Fatal("flush inside the quantum did not complete")
+		}
 		m.Read(a) // must miss again
 	})
 	if n := acct.Counts(stats.PhaseDefault, stats.CntLocalMisses); n != 2 {
@@ -320,7 +322,7 @@ func TestStaleVecDeliversCachedValues(t *testing.T) {
 		m := NewMem(p, &cfg, 1)
 		space := NewAddrSpace(1, 32)
 		// Place the vector in private space: no coherence, so the only
-		// refresh trigger is a cache miss, which we force with FlushBlock.
+		// refresh trigger is a cache miss, which we force with a flush.
 		g := NewFVec(space.AllocPrivate(0, 64), 8)
 		sv := NewStaleVec(eng, &g, 1)
 
@@ -338,7 +340,11 @@ func TestStaleVecDeliversCachedValues(t *testing.T) {
 		// cycles for a boundary to publish the new backing value first.
 		p.Compute(2 * int64(eng.Quantum))
 		// Drop the line: the next read misses and refreshes the snapshot.
-		m.FlushBlock(g.Addr(0))
+		// Interact first, so the flush starts inside a quantum.
+		p.Interact()
+		if !m.StepFlushBlock(g.Addr(0)) {
+			t.Fatal("flush inside the quantum did not complete")
+		}
 		if got := sv.Get(m, 0); got != 2.0 {
 			t.Errorf("post-miss read = %v, want the fresh 2.0", got)
 		}

@@ -62,28 +62,12 @@ type Spec struct {
 	// simulated hardware, so it must survive the snapshot round-trip.
 	HWCombining bool `json:"hw_combining,omitempty"`
 
-	// StepProcs selects the step (continuation) form of the application:
-	// each node runs as an engine-dispatched state machine instead of a
-	// goroutine. Fingerprint-identical to the coroutine form by contract
-	// (the cross-form equality tests pin it), so checkpoints written by one
-	// form resume under the other; part of Spec because only some apps have
-	// step implementations and Validate must reject the rest up front.
-	// Gauss-SM exists only in step form, so the flag is a no-op there.
+	// Deprecated: StepProcs once chose between the step and coroutine
+	// processor forms, which give bit-identical fingerprints. The form now
+	// follows from the app and its inputs (see runApp). The field stays so
+	// snapshots and matrices that carry "step_procs" still decode; nothing
+	// reads it, and Normalized clears it.
 	StepProcs bool `json:"step_procs,omitempty"`
-}
-
-// StepUnsupportedError reports a spec requesting step processors for a
-// configuration without a step implementation (an app that only exists in
-// coroutine form, or the reliable transport, which suspends mid-call).
-type StepUnsupportedError struct {
-	App     string
-	Machine string
-	Reason  string
-}
-
-func (e *StepUnsupportedError) Error() string {
-	return fmt.Sprintf("runner: step_procs unsupported for %s/%s: %s",
-		e.App, e.Machine, e.Reason)
 }
 
 // Validate rejects specs that name no runnable configuration.
@@ -119,18 +103,6 @@ func (s *Spec) Validate() error {
 	}
 	if (s.SMCheck || s.SMFaults != nil || s.SMWatchdog > 0) && s.Machine != "sm" {
 		return fmt.Errorf("runner: coherence robustness controls require machine sm")
-	}
-	if s.StepProcs {
-		switch {
-		case s.App == "em3d", s.App == "lcp", s.App == "gauss" && s.Machine == "sm":
-		default:
-			return &StepUnsupportedError{App: s.App, Machine: s.Machine,
-				Reason: "app has no step implementation"}
-		}
-		if s.Faults != nil {
-			return &StepUnsupportedError{App: s.App, Machine: s.Machine,
-				Reason: "reliable transport suspends inside library calls"}
-		}
 	}
 	return nil
 }
@@ -195,9 +167,9 @@ type Options struct {
 	// byte-identical, else the run aborts with a *ReplayDivergenceError.
 	Resume *snapshot.Snapshot
 	// Workers bounds intra-run host parallelism (cost.Config.Workers /
-	// sim.Engine.Workers): 0 uses GOMAXPROCS, 1 forces serial dispatch. A
-	// host knob, deliberately not part of Spec: any value yields the same
-	// fingerprint, so it lives beside the other run-local options.
+	// sim.Engine.Workers): 0 or 1 dispatches serially. A host knob,
+	// deliberately not part of Spec: any value yields the same fingerprint,
+	// so it lives beside the other run-local options.
 	Workers int
 	// PerAccessStats switches cost accounting to the reference per-access
 	// mode (every charge posted to the phase buckets immediately) instead of
@@ -461,6 +433,12 @@ func Run(spec Spec, opts Options) (*Outcome, error) {
 	return out, nil
 }
 
+// runApp builds and runs the app the spec names. The processor form follows
+// from the spec: EM3D, sync LCP and Gauss-SM run as step machines; MSE,
+// Gauss-MP and ALCP have only blocking (coroutine) bodies; and EM3D-MP and
+// LCP-MP fall back to theirs under network faults, because the reliable
+// transport suspends inside library calls. The forms are fingerprint-
+// identical where both exist, so the choice is a host-cost matter only.
 func runApp(spec *Spec, cfg cost.Config) (*machine.Result, string) {
 	shape := spec.shape()
 	switch spec.App {
@@ -488,7 +466,7 @@ func runApp(spec *Spec, cfg cost.Config) (*machine.Result, string) {
 		if spec.Machine == "mp" {
 			out = gauss.RunMP(cfg, shape, par)
 		} else {
-			out = gauss.RunSM(cfg, par) // step form only; StepProcs is a no-op
+			out = gauss.RunSM(cfg, par)
 		}
 		return out.Res, fmt.Sprintf("maxErr=%.3g", out.MaxErr)
 	case "em3d":
@@ -501,14 +479,12 @@ func runApp(spec *Spec, cfg cost.Config) (*machine.Result, string) {
 		}
 		var out *em3d.Output
 		switch {
-		case spec.Machine == "mp" && spec.StepProcs:
-			out = em3d.RunMPStep(cfg, shape, par)
-		case spec.Machine == "mp":
-			out = em3d.RunMP(cfg, shape, par)
-		case spec.StepProcs:
-			out = em3d.RunSMStep(cfg, spec.policy(), par)
-		default:
+		case spec.Machine == "sm":
 			out = em3d.RunSM(cfg, spec.policy(), par)
+		case spec.Faults != nil:
+			out = em3d.RunMP(cfg, shape, par)
+		default:
+			out = em3d.RunMPStep(cfg, shape, par)
 		}
 		return out.Res, fmt.Sprintf("maxErr=%.3g", out.MaxErr)
 	default: // lcp | alcp, enforced by Validate
@@ -521,18 +497,16 @@ func runApp(spec *Spec, cfg cost.Config) (*machine.Result, string) {
 		}
 		var out *lcp.Output
 		switch {
-		case spec.App == "lcp" && spec.Machine == "mp" && spec.StepProcs:
-			out = lcp.RunMPStep(cfg, shape, par)
-		case spec.App == "lcp" && spec.Machine == "mp":
-			out = lcp.RunMP(cfg, shape, par)
-		case spec.App == "lcp" && spec.StepProcs:
-			out = lcp.RunSMStep(cfg, par)
-		case spec.App == "lcp":
-			out = lcp.RunSM(cfg, par)
-		case spec.Machine == "mp":
+		case spec.App == "alcp" && spec.Machine == "mp":
 			out = lcp.RunAMP(cfg, shape, par)
-		default:
+		case spec.App == "alcp":
 			out = lcp.RunASM(cfg, par)
+		case spec.Machine == "sm":
+			out = lcp.RunSM(cfg, par)
+		case spec.Faults != nil:
+			out = lcp.RunMP(cfg, shape, par)
+		default:
+			out = lcp.RunMPStep(cfg, shape, par)
 		}
 		return out.Res, fmt.Sprintf("steps=%d residual=%.3g", out.Steps, out.Residual)
 	}

@@ -134,7 +134,7 @@ func TestScalingSmokeStep1024(t *testing.T) {
 	const procs, workers = 1024, 4
 	before := runtime.NumGoroutine()
 	high := 0
-	spec := Spec{App: "em3d", Machine: "mp", Procs: procs, Size: 8, Iters: 2, StepProcs: true}
+	spec := Spec{App: "em3d", Machine: "mp", Procs: procs, Size: 8, Iters: 2}
 
 	cfg := spec.Config()
 	cfg.Workers = workers
@@ -191,10 +191,10 @@ func TestProcs4096StepPairsComplete(t *testing.T) {
 		t.Skip("P=4096 workload; set WWT_SCALING_HEAVY=1")
 	}
 	pairs := []Spec{
-		{App: "em3d", Machine: "mp", Procs: 4096, Size: 8, Iters: 2, StepProcs: true},
-		{App: "em3d", Machine: "sm", Procs: 4096, Size: 8, Iters: 2, StepProcs: true},
-		{App: "lcp", Machine: "mp", Procs: 4096, Size: 4096, Iters: 2, StepProcs: true},
-		{App: "lcp", Machine: "sm", Procs: 4096, Size: 4096, Iters: 2, StepProcs: true},
+		{App: "em3d", Machine: "mp", Procs: 4096, Size: 8, Iters: 2},
+		{App: "em3d", Machine: "sm", Procs: 4096, Size: 8, Iters: 2},
+		{App: "lcp", Machine: "mp", Procs: 4096, Size: 4096, Iters: 2},
+		{App: "lcp", Machine: "sm", Procs: 4096, Size: 4096, Iters: 2},
 	}
 	for _, spec := range pairs {
 		spec := spec

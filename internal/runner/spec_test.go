@@ -87,6 +87,8 @@ func randSpec(rng *rand.Rand) Spec {
 		}
 	}
 	s.Policy = policies[rng.Intn(len(policies))]
+	s.HWCombining = rng.Intn(2) == 0
+	s.StepProcs = rng.Intn(2) == 0 // deprecated, collapsed by Normalized
 	if rng.Intn(4) == 0 {
 		s.CacheBytes = cost.Default(s.Procs).CacheBytes // default spelled out
 	}
@@ -132,6 +134,30 @@ func TestCacheKeyProperties(t *testing.T) {
 			}
 		}
 		byKey[s.CacheKey()] = s
+	}
+}
+
+// TestCacheKeyHashesHWCombining: the hardware combiner changes the
+// simulated machine, and with it the fingerprint, so it must change the key
+// too — else the result cache would serve a software-reduction result for
+// a combining job.
+func TestCacheKeyHashesHWCombining(t *testing.T) {
+	sw := Spec{App: "gauss", Machine: "sm", Procs: 8, Size: 64}
+	hw := sw
+	hw.HWCombining = true
+	if sw.CacheKey() == hw.CacheKey() {
+		t.Fatalf("hw_combining left the key unchanged: %s", sw.KeyString())
+	}
+	a, err := Run(sw, Options{})
+	if err != nil || a.Res.Err != nil {
+		t.Fatalf("software run: %v / %v", err, a.Res.Err)
+	}
+	b, err := Run(hw, Options{})
+	if err != nil || b.Res.Err != nil {
+		t.Fatalf("combining run: %v / %v", err, b.Res.Err)
+	}
+	if a.Fingerprint == b.Fingerprint {
+		t.Fatalf("hw_combining no longer moves the fingerprint (%#x): the key case tests nothing", a.Fingerprint)
 	}
 }
 

@@ -27,9 +27,8 @@ type Config struct {
 	WALSegmentBytes int64
 	// Jobs is the worker pool size (concurrent runs). Default 1.
 	Jobs int
-	// RunWorkers is the engine worker count inside each run (0 =
-	// GOMAXPROCS, 1 = serial). Default 1: job-level sharding already fills
-	// the host.
+	// RunWorkers is the engine worker count inside each run (0 or 1 =
+	// serial, the default: job-level sharding already fills the host).
 	RunWorkers int
 	// MaxQueue bounds pending+running jobs; a batch that would exceed it is
 	// shed with a typed 429. Default 4096.
@@ -92,9 +91,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.Jobs <= 0 {
 		cfg.Jobs = 1
-	}
-	if cfg.RunWorkers == 0 {
-		cfg.RunWorkers = 1
 	}
 	if cfg.MaxQueue <= 0 {
 		cfg.MaxQueue = 4096

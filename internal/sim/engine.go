@@ -20,7 +20,6 @@ package sim
 import (
 	"container/heap"
 	"fmt"
-	"runtime"
 	"slices"
 	"sync/atomic"
 
@@ -75,7 +74,7 @@ type Engine struct {
 
 	// Workers bounds the worker pool for the processor phase: how many
 	// target processors may execute concurrently on the host. 0 (the
-	// default) uses GOMAXPROCS; 1 forces serial execution. Any value
+	// default) and 1 run serially. Any value
 	// produces bit-identical simulations — parallelism is a host-side
 	// throughput knob, never a model parameter, so it is deliberately not
 	// part of runner.Spec or the snapshot format.
@@ -319,12 +318,7 @@ func (e *Engine) AddStepProc(step func(p *Proc) StepStatus) *Proc {
 func (e *Engine) Procs() []*Proc { return e.procs }
 
 // workerCount resolves the effective processor-phase parallelism.
-func (e *Engine) workerCount() int {
-	if e.Workers > 0 {
-		return e.Workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
+func (e *Engine) workerCount() int { return max(e.Workers, 1) }
 
 // Run executes the simulation until every processor's body has returned and
 // no events remain, returning nil. If a processor aborts the run (see

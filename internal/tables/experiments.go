@@ -129,7 +129,7 @@ func EM3D(sc Scale) []Table {
 		par = em3d.Params{NodesPer: 250, Degree: 8, RemotePct: 20, Iters: 12, Seed: 1}
 	}
 	noPaper := sc == Quick
-	mp := em3d.RunMP(cfg, cmmd.LopSided, par)
+	mp := em3d.RunMPStep(cfg, cmmd.LopSided, par)
 	sm := em3d.RunSM(cfg, parmacs.RoundRobin, par)
 
 	t12 := em3dPhaseTable(12, "EM3D Message Passing (EM3D-MP)", mp.Res.Summary, true,
@@ -177,7 +177,7 @@ func LCP(sc Scale) []Table {
 		par.N, par.NNZ = 512, 16
 	}
 	noPaper := sc == Quick
-	mp := lcp.RunMP(cfg, cmmd.LopSided, par)
+	mp := lcp.RunMPStep(cfg, cmmd.LopSided, par)
 	sm := lcp.RunSM(cfg, par)
 	amp := lcp.RunAMP(cfg, cmmd.LopSided, par)
 	asm := lcp.RunASM(cfg, par)
